@@ -13,7 +13,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// SipHash is measurably slow in this hot path and HashDoS is irrelevant for
 /// internal geometry ids.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+struct FxHasher(u64);
 
 impl Hasher for FxHasher {
     #[inline]
@@ -34,7 +34,7 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FacetMap = HashMap<u64, (TetId, u8), BuildHasherDefault<FxHasher>>;
+type FacetMap = HashMap<u64, (TetId, u8), BuildHasherDefault<FxHasher>>;
 
 /// Reusable buffers for the insertion loop.
 #[derive(Default)]
@@ -52,7 +52,7 @@ pub(crate) struct Scratch {
 /// Key for the facet map: the two vertices of a new tet's face other than
 /// the inserted point, order-normalized.
 #[inline]
-pub(crate) fn edge_key(a: VertexId, b: VertexId) -> u64 {
+fn edge_key(a: VertexId, b: VertexId) -> u64 {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     ((lo as u64) << 32) | hi as u64
 }
@@ -62,10 +62,9 @@ pub(crate) fn edge_key(a: VertexId, b: VertexId) -> u64 {
 /// outward-oriented w.r.t. `o`, its normal pointing into the cavity).
 /// Reversing two vertices makes `(f0, f2, f1, vid)` positively oriented.
 /// Ghosts are canonicalized — `INFINITE` moved to slot 3 by an even
-/// permutation (a 3-cycle), preserving orientation. Shared by the serial
-/// and parallel insertion paths so their cavities are bit-identical.
+/// permutation (a 3-cycle), preserving orientation.
 #[inline]
-pub(crate) fn star_record(
+fn star_record(
     f: [VertexId; 3],
     vid: VertexId,
     o: TetId,

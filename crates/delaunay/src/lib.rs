@@ -32,12 +32,12 @@
 //! conditions, cospherical points). Points are inserted in Morton order
 //! (a BRIO-style spatial sort), which keeps consecutive locates short.
 //!
-//! # Parallel construction
+//! # Construction
 //!
-//! [`DelaunayBuilder`] is the single construction entry point. With more
-//! than one thread it inserts Morton-ordered batches of *spatially
-//! independent* points concurrently (see `parallel.rs`); the parallel and
-//! serial paths produce the identical mesh.
+//! [`DelaunayBuilder`] is the single construction entry point, and every
+//! build is one serial insertion pass. As in the paper, parallelism runs
+//! across work items (one triangulation per field or tile), not inside a
+//! triangulation.
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ mod insert;
 mod locate;
 mod mesh;
 mod morton;
-mod parallel;
 mod queries;
 mod reorder;
 pub mod validate;
@@ -74,9 +73,8 @@ pub use validate::ValidationError;
 
 use dtfe_geometry::Vec3;
 
-/// Serial Morton/input-order construction shared by the builder's
-/// single-thread path, the parallel prefix, and the deprecated shims.
-/// Assumes finite coordinates (the builder checks; the shims assert).
+/// Serial construction inserting `input` in `order`. Assumes finite
+/// coordinates (the builder checks).
 pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, DelaunayError> {
     let mut d = insert::bootstrap(input, order)?;
     for &idx in order {
@@ -86,12 +84,6 @@ pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, De
         }
     }
     Ok(d)
-}
-
-/// Free-function shim over [`DelaunayBuilder`] with default settings.
-#[deprecated(since = "0.2.0", note = "use `DelaunayBuilder::new().build(points)`")]
-pub fn triangulate(points: &[Vec3]) -> Result<Triangulation, BuildError> {
-    DelaunayBuilder::new().build(points)
 }
 
 /// Errors from triangulation construction.
@@ -155,42 +147,6 @@ impl std::fmt::Debug for Delaunay {
 }
 
 impl Delaunay {
-    /// Triangulate `input`, inserting in Morton order. Duplicate points are
-    /// merged. Fails with [`DelaunayError::Degenerate`] when the input has no
-    /// four affinely independent points.
-    #[deprecated(since = "0.2.0", note = "use `DelaunayBuilder::new().build(points)`")]
-    pub fn build(input: &[Vec3]) -> Result<Delaunay, DelaunayError> {
-        Self::build_with_order(input, true)
-    }
-
-    /// Triangulate without the Morton spatial sort (insertion in input
-    /// order). Mainly for the ablation bench; the builder's default spatial
-    /// sort is faster on large inputs.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DelaunayBuilder::new().spatial_sort(false).build(points)`"
-    )]
-    pub fn build_insertion_order(input: &[Vec3]) -> Result<Delaunay, DelaunayError> {
-        Self::build_with_order(input, false)
-    }
-
-    fn build_with_order(input: &[Vec3], spatial_sort: bool) -> Result<Delaunay, DelaunayError> {
-        // The historical contract of the deprecated entry points: panic on
-        // non-finite coordinates. The builder reports BuildError instead.
-        assert!(
-            input.iter().all(|p| p.is_finite()),
-            "non-finite input coordinates"
-        );
-        // Same canonical order as the builder, so the deprecated path yields
-        // the identical mesh.
-        let order: Vec<u32> = if spatial_sort {
-            morton::stratified_order(input)
-        } else {
-            (0..input.len() as u32).collect()
-        };
-        build_serial(input, &order)
-    }
-
     /// Number of (unique) vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -41,8 +41,8 @@ impl std::error::Error for ValidationError {}
 
 /// Run every check we have: the structural + local-Delaunay validation plus
 /// the brute-force global empty-circumsphere cross-check. O(tets × vertices);
-/// intended for tests (the parallel-vs-serial equivalence suite in
-/// particular), not production paths.
+/// intended for tests (the insertion-order suite in particular), not
+/// production paths.
 pub fn global_delaunay_check(d: &Delaunay) -> Result<(), ValidationError> {
     d.validate()?;
     d.validate_delaunay_global()

@@ -15,7 +15,7 @@
 //! scheduled amounts and receivers blocking until their sender's bundle has
 //! been dispatched.
 
-use crate::sharing::{create_schedule, pack_bins};
+use crate::sharing::{create_schedule, pack_bins, Schedule, Transfer};
 
 /// A synthetic rank workload: per-item predicted and actual costs.
 #[derive(Clone, Debug, Default)]
@@ -78,6 +78,23 @@ pub fn simulate_unbalanced(work: &[RankWork]) -> SimResult {
     }
 }
 
+/// Every rank's `SendList` and `RecvList` from one pass over the schedule:
+/// `(sends, recvs)`, each indexed by rank and in schedule order. Equal to
+/// [`Schedule::sends_of`] / [`Schedule::recvs_of`] per rank, without their
+/// scan of every transfer per call (O(P·T) over all ranks).
+pub fn transfers_by_rank(
+    schedule: &Schedule,
+    ranks: usize,
+) -> (Vec<Vec<Transfer>>, Vec<Vec<Transfer>>) {
+    let mut sends = vec![Vec::new(); ranks];
+    let mut recvs = vec![Vec::new(); ranks];
+    for &t in &schedule.transfers {
+        sends[t.from].push(t);
+        recvs[t.to].push(t);
+    }
+    (sends, recvs)
+}
+
 /// Simulate execution with the a-priori schedule (paper §IV-D/E).
 ///
 /// Timeline model per rank:
@@ -96,6 +113,7 @@ pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
     let predicted_totals: Vec<f64> = work.iter().map(|w| w.total_predicted()).collect();
     // Synthetic workloads are finite by construction.
     let schedule = create_schedule(&predicted_totals).expect("synthetic predicted totals");
+    let (send_lists, recv_lists) = transfers_by_rank(&schedule, p);
 
     struct Bundle {
         available_at: f64,
@@ -107,7 +125,7 @@ pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
     let mut local_done: Vec<f64> = vec![0.0; p];
 
     for rank in 0..p {
-        let sends = schedule.sends_of(rank);
+        let sends = &send_lists[rank];
         if sends.is_empty() {
             local_done[rank] = work[rank].total_actual();
             continue;
@@ -166,7 +184,7 @@ pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
     let mut total_wait = 0.0;
     for rank in 0..p {
         let mut t = local_done[rank];
-        for recv in schedule.recvs_of(rank) {
+        for recv in &recv_lists[rank] {
             let b = &bundles[&(recv.from, recv.to)];
             if b.available_at > t {
                 total_wait += b.available_at - t;

@@ -2,7 +2,7 @@
 
 use dtfe_framework::decomp::{factor3, Decomposition};
 use dtfe_framework::eventsim::{
-    partition_items, simulate_balanced, simulate_unbalanced, SimParams,
+    partition_items, simulate_balanced, simulate_unbalanced, transfers_by_rank, SimParams,
 };
 use dtfe_framework::{create_schedule, pack_bins};
 use dtfe_geometry::{Aabb3, Vec3};
@@ -35,12 +35,16 @@ proptest! {
         times in prop::collection::vec(0.0f64..50.0, 2..40)
     ) {
         let s = create_schedule(&times).unwrap();
+        let (sends, recvs) = transfers_by_rank(&s, times.len());
         for r in 0..times.len() {
             prop_assert!(
                 s.sends_of(r).is_empty() || s.recvs_of(r).is_empty(),
                 "rank {} both sends and receives",
                 r
             );
+            // The event simulator's one-pass grouping is the same lists.
+            prop_assert_eq!(&sends[r], &s.sends_of(r), "send list of rank {}", r);
+            prop_assert_eq!(&recvs[r], &s.recvs_of(r), "recv list of rank {}", r);
         }
     }
 

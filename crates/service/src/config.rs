@@ -30,7 +30,8 @@ pub struct ServiceConfig {
     /// Byte budget of the tile LRU (estimated resident bytes never exceed
     /// this).
     pub cache_budget_bytes: usize,
-    /// Render worker threads.
+    /// Render worker threads. Each tile triangulation is one serial build,
+    /// so workers are where tile builds run in parallel.
     pub workers: usize,
     /// Admission budget in *priced seconds* of backlog: once the sum of
     /// model-priced costs of queued requests exceeds this, new requests
@@ -43,10 +44,6 @@ pub struct ServiceConfig {
     /// coefficients are deliberately conservative; fit them from
     /// measurements with [`WorkloadModel::fit`] for accurate pricing.
     pub model: WorkloadModel,
-    /// Threads per tile triangulation build. The default `1` matches the
-    /// batch framework's per-item builds (and keeps meshes bit-identical
-    /// with it); raise it on big dedicated machines.
-    pub builder_threads: usize,
     /// Install a process-global telemetry recorder for the service's
     /// lifetime, so cache/queue/latency metrics appear in
     /// [`Service::metrics_json`](crate::Service::metrics_json).
@@ -133,7 +130,6 @@ impl ServiceConfig {
             admission_budget_s: 30.0,
             default_deadline: None,
             model: default_model(),
-            builder_threads: 1,
             telemetry: false,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
